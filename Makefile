@@ -21,8 +21,8 @@ race: test-race
 # check is the full pre-commit gate: formatting, vet, build, tests,
 # the parallel-engine race sweep (the E14 serial==parallel property
 # harness and the kernel arena under the race detector — first, because
-# a data race there invalidates the rest), and the whole-tree race
-# sweep.
+# a data race there invalidates the rest), tcpnet's shutdown ten times
+# over, and the whole-tree race sweep.
 check:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
@@ -31,6 +31,7 @@ check:
 	go test ./...
 	go test -race ./internal/psim ./internal/sim
 	go test -race -run TestChaosMHCrash ./internal/rdpcore
+	go test -race -count=10 -run TestCloseWaitsForLoops ./internal/tcpnet
 	go test -race ./...
 
 bench:

@@ -17,10 +17,12 @@
 package tcpnet
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 
@@ -32,9 +34,18 @@ import (
 	"repro/internal/wtp"
 )
 
-// frame layout: layer(1) fromKind(1) fromNum(4) toKind(1) toNum(4)
-// stampLen(4) stamp msgLen(4) msg. A non-empty stamp is
-// from(4) n(4) followed by the n×n SENT matrix as uint64s.
+// Frame layout, self-delimiting and stateless:
+//
+//	uvarint len | layer(1) fromKind(1) uvarint fromNum toKind(1) uvarint toNum
+//	            | uvarint n [uvarint from, n×n uvarint SENT counters] | msg
+//
+// len counts every byte after itself; n is 0 (no causal stamp) or the
+// group size; the msg body (the msg package's encoding) runs to the end
+// of the frame.
+// Stamps carry the whole SENT matrix in every frame rather than a
+// difference against the link's last stamp: a differential stamp needs
+// every stamped frame of a link to arrive in send order, and the ARQ
+// re-offers shed frames out of that order (SetSendQueueLimit).
 
 // Net is one in-process "network" of TCP endpoints. All handler
 // execution is posted to the runtime's dispatcher, so protocol state
@@ -47,8 +58,10 @@ type Net struct {
 	mu        sync.Mutex
 	addrs     map[ids.NodeID]string
 	listeners []net.Listener
-	conns     map[connKey]net.Conn
+	conns     map[connKey]net.Conn  // dialed, one per directed link
+	accepted  map[net.Conn]struct{} // accepted, each with a readLoop
 	closed    bool
+	loops     sync.WaitGroup // acceptLoop and readLoop goroutines
 
 	eps []*causal.Endpoint // wired causal layer (dispatcher-only access)
 
@@ -134,6 +147,7 @@ func New(rt *livenet.Runtime, members []ids.NodeID) *Net {
 		index:         make(map[ids.NodeID]int, len(members)),
 		addrs:         make(map[ids.NodeID]string, len(members)),
 		conns:         make(map[connKey]net.Conn),
+		accepted:      make(map[net.Conn]struct{}),
 		wiredHandlers: make(map[ids.NodeID]netsim.Handler),
 		mhHandlers:    make(map[ids.MH]netsim.Handler),
 		mssHandlers:   make(map[ids.MSS]netsim.Handler),
@@ -291,15 +305,16 @@ func (n *Net) Start() error {
 		}
 		n.listeners = append(n.listeners, ln)
 		n.addrs[m] = ln.Addr().String()
+		n.loops.Add(1)
 		go n.acceptLoop(ln)
 	}
 	return nil
 }
 
-// Close shuts the listeners and connections down.
+// Close shuts the listeners and connections down and returns once every
+// accept and read loop has exited, so none posts to the runtime after.
 func (n *Net) Close() {
 	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.closed = true
 	for _, ln := range n.listeners {
 		ln.Close()
@@ -307,6 +322,11 @@ func (n *Net) Close() {
 	for _, c := range n.conns {
 		c.Close()
 	}
+	for c := range n.accepted {
+		c.Close()
+	}
+	n.mu.Unlock()
+	n.loops.Wait()
 }
 
 // Addr returns the TCP address a member listens on (diagnostics).
@@ -317,25 +337,49 @@ func (n *Net) Addr(m ids.NodeID) string {
 }
 
 func (n *Net) acceptLoop(ln net.Listener) {
+	defer n.loops.Done()
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
 			return
 		}
+		n.mu.Lock()
+		if n.closed {
+			n.mu.Unlock()
+			conn.Close()
+			return
+		}
+		n.accepted[conn] = struct{}{}
+		n.loops.Add(1)
+		n.mu.Unlock()
 		go n.readLoop(conn)
 	}
 }
 
 func (n *Net) readLoop(conn net.Conn) {
-	defer conn.Close()
+	defer n.loops.Done()
+	defer func() {
+		n.mu.Lock()
+		delete(n.accepted, conn)
+		n.mu.Unlock()
+		conn.Close()
+	}()
+	fr := newFrameReader(conn, len(n.eps))
 	for {
-		f, err := readFrame(conn)
-		if err != nil {
+		// Frames are decoded in place rather than returned by value: the
+		// copies would grow each of the ~200 reader goroutines' stacks
+		// past the next size class.
+		var f frame
+		if err := fr.read(&f); err != nil {
 			return
 		}
-		n.rt.Post(func() { n.dispatch(f) })
+		n.post(f)
 	}
 }
+
+// post hands a frame to the dispatcher. Taking the frame as a parameter
+// lets the closure hold its own copy: one allocation per frame.
+func (n *Net) post(f frame) { n.rt.Post(func() { n.dispatch(f) }) }
 
 // dispatch runs on the dispatcher goroutine.
 func (n *Net) dispatch(f frame) {
@@ -576,106 +620,186 @@ type frame struct {
 	stamp     causal.Matrix
 }
 
-// encodeFrame serializes a frame (header + stamp + message) into a
-// fresh buffer. The write path uses appendFrame with a pooled buffer
-// instead.
-func encodeFrame(f frame) ([]byte, error) {
-	return appendFrame(nil, f)
-}
+const (
+	// maxFrameLen caps the length prefix; a longer frame is rejected
+	// before its buffer is allocated.
+	maxFrameLen = 1 << 24
+	// lenReserve is the room appendFrame leaves for the length prefix:
+	// the uvarint of any length up to maxFrameLen fits.
+	lenReserve = 4
+	// readBufSize sizes each connection's bufio.Reader. Most frames are
+	// a few hundred bytes and there is one reader per connection, so a
+	// small buffer keeps the resident set down.
+	readBufSize = 512
+	// maxKeptBody bounds the body buffer a connection keeps between
+	// frames, so one large frame does not pin its buffer for good.
+	maxKeptBody = 64 << 10
+)
 
-// appendFrame serializes a frame onto dst, writing the stamp and the
-// message body in place (behind length placeholders patched afterwards)
-// so framing needs no intermediate buffers.
+var (
+	errFrameTooLarge = errors.New("tcpnet: frame too large")
+	errTruncated     = errors.New("tcpnet: frame truncated")
+	errNodeRange     = errors.New("tcpnet: node number out of range")
+	errStampSize     = errors.New("tcpnet: stamp size mismatch")
+	errStampFrom     = errors.New("tcpnet: stamp sender out of range")
+)
+
+// appendFrame serializes a frame onto dst. The body is encoded in place
+// behind a reserved prefix, then shifted down to sit right after the
+// real (shorter) length, so framing needs no intermediate buffer.
 func appendFrame(dst []byte, f frame) ([]byte, error) {
-	out := dst
+	start := len(dst)
+	out := append(dst, make([]byte, lenReserve)...)
 	out = append(out, byte(f.layer), byte(f.from.Kind))
-	out = binary.BigEndian.AppendUint32(out, f.from.Num)
+	out = binary.AppendUvarint(out, uint64(f.from.Num))
 	out = append(out, byte(f.to.Kind))
-	out = binary.BigEndian.AppendUint32(out, f.to.Num)
-	stampLenAt := len(out)
-	out = binary.BigEndian.AppendUint32(out, 0)
+	out = binary.AppendUvarint(out, uint64(f.to.Num))
 	if f.hasStamp {
-		nn := len(f.stamp)
-		out = binary.BigEndian.AppendUint32(out, uint32(f.stampFrom))
-		out = binary.BigEndian.AppendUint32(out, uint32(nn))
-		for i := 0; i < nn; i++ {
-			for j := 0; j < nn; j++ {
-				out = binary.BigEndian.AppendUint64(out, f.stamp[i][j])
+		out = binary.AppendUvarint(out, uint64(len(f.stamp)))
+		out = binary.AppendUvarint(out, uint64(f.stampFrom))
+		for _, row := range f.stamp {
+			for _, c := range row {
+				out = binary.AppendUvarint(out, c)
 			}
 		}
-		binary.BigEndian.PutUint32(out[stampLenAt:], uint32(len(out)-stampLenAt-4))
+	} else {
+		out = append(out, 0)
 	}
-	bodyLenAt := len(out)
-	out = binary.BigEndian.AppendUint32(out, 0)
 	out, err := msg.AppendEncode(out, f.m)
 	if err != nil {
 		return nil, err
 	}
-	binary.BigEndian.PutUint32(out[bodyLenAt:], uint32(len(out)-bodyLenAt-4))
-	return out, nil
+	size := len(out) - start - lenReserve
+	if size > maxFrameLen {
+		return nil, errFrameTooLarge // its prefix would overrun lenReserve
+	}
+	var pre [binary.MaxVarintLen32]byte
+	k := binary.PutUvarint(pre[:], uint64(size))
+	copy(out[start+k:], out[start+lenReserve:])
+	copy(out[start:], pre[:k])
+	return out[:start+k+size], nil
 }
 
-// readFrame reads one frame from the stream.
-func readFrame(r io.Reader) (frame, error) {
-	var f frame
-	head := make([]byte, 11)
-	if _, err := io.ReadFull(r, head); err != nil {
-		return f, err
+// frameReader reads frames off one connection through a small buffered
+// reader into a body buffer kept across frames, safe to reuse because
+// msg.Decode copies everything it keeps out of the body. group is the
+// only stamp size a frame may carry: the member count of the Net.
+type frameReader struct {
+	r     *bufio.Reader
+	body  []byte
+	group int
+}
+
+func newFrameReader(r io.Reader, group int) *frameReader {
+	return &frameReader{r: bufio.NewReaderSize(r, readBufSize), group: group}
+}
+
+// read decodes the next frame into f. A stream that ends cleanly
+// between frames yields io.EOF.
+func (fr *frameReader) read(f *frame) error {
+	size, err := binary.ReadUvarint(fr.r)
+	if err != nil {
+		return err
 	}
-	f.layer = netsim.Layer(head[0])
-	f.from = ids.NodeID{Kind: ids.NodeKind(head[1]), Num: binary.BigEndian.Uint32(head[2:])}
-	f.to = ids.NodeID{Kind: ids.NodeKind(head[6]), Num: binary.BigEndian.Uint32(head[7:])}
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return f, err
+	if size > maxFrameLen {
+		return errFrameTooLarge
 	}
-	stampLen := binary.BigEndian.Uint32(lenBuf[:])
-	if stampLen > 1<<20 {
-		return f, errors.New("tcpnet: stamp too large")
+	if uint64(cap(fr.body)) < size {
+		fr.body = make([]byte, size)
 	}
-	if stampLen > 0 {
-		if stampLen < 8 {
-			return f, errors.New("tcpnet: stamp too short")
+	b := fr.body[:size]
+	if cap(fr.body) > maxKeptBody {
+		fr.body = nil
+	}
+	if _, err := io.ReadFull(fr.r, b); err != nil {
+		return noEOF(err)
+	}
+	return parseFrame(b, fr.group, f)
+}
+
+// noEOF reports a stream that ends inside a frame as truncated.
+func noEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// frameCursor walks a frame's bytes; the first error sticks.
+type frameCursor struct {
+	b   []byte
+	err error
+}
+
+func (c *frameCursor) byte() byte {
+	if c.err != nil {
+		return 0
+	}
+	if len(c.b) == 0 {
+		c.err = errTruncated
+		return 0
+	}
+	v := c.b[0]
+	c.b = c.b[1:]
+	return v
+}
+
+func (c *frameCursor) uvarint() uint64 {
+	if c.err != nil {
+		return 0
+	}
+	v, k := binary.Uvarint(c.b)
+	if k <= 0 {
+		c.err = errTruncated // runs off the frame, or overflows 64 bits
+		return 0
+	}
+	c.b = c.b[k:]
+	return v
+}
+
+func (c *frameCursor) node() ids.NodeID {
+	kind := ids.NodeKind(c.byte())
+	num := c.uvarint()
+	if num > math.MaxUint32 && c.err == nil {
+		c.err = errNodeRange
+	}
+	return ids.NodeID{Kind: kind, Num: uint32(num)}
+}
+
+// parseFrame decodes one frame's bytes (everything after its length
+// prefix) into f, accepting only stamps of the given group size. Every
+// size read off the wire is checked before it drives an allocation.
+func parseFrame(b []byte, group int, f *frame) error {
+	c := frameCursor{b: b}
+	f.layer = netsim.Layer(c.byte())
+	f.from = c.node()
+	f.to = c.node()
+	if nn := c.uvarint(); nn > 0 && c.err == nil {
+		// A stamp of another size would only be dropped, so its matrix
+		// is never allocated; each counter takes at least one byte.
+		// Testing the group size first keeps nn*nn from overflowing.
+		if nn != uint64(group) || nn*nn > uint64(len(c.b)) {
+			return errStampSize
 		}
-		stamp := make([]byte, stampLen)
-		if _, err := io.ReadFull(r, stamp); err != nil {
-			return f, err
+		from := c.uvarint()
+		if c.err != nil {
+			return c.err
 		}
-		f.hasStamp = true
-		f.stampFrom = int(binary.BigEndian.Uint32(stamp[0:]))
-		nn := int(binary.BigEndian.Uint32(stamp[4:]))
-		// The size consistency check runs in uint64 so a huge nn cannot
-		// wrap back onto stampLen and trigger an n×n allocation.
-		if nn < 0 || 8+uint64(nn)*uint64(nn)*8 != uint64(stampLen) {
-			return f, errors.New("tcpnet: stamp size mismatch")
+		if from >= nn {
+			return errStampFrom
 		}
-		if f.stampFrom < 0 || f.stampFrom >= nn {
-			return f, errors.New("tcpnet: stamp sender out of range")
-		}
-		f.stamp = causal.NewMatrix(nn)
-		off := 8
-		for i := 0; i < nn; i++ {
-			for j := 0; j < nn; j++ {
-				f.stamp[i][j] = binary.BigEndian.Uint64(stamp[off:])
-				off += 8
+		f.hasStamp, f.stampFrom = true, int(from)
+		f.stamp = causal.NewMatrix(int(nn))
+		for _, row := range f.stamp {
+			for j := range row {
+				row[j] = c.uvarint()
 			}
 		}
 	}
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return f, err
+	if c.err != nil {
+		return c.err
 	}
-	bodyLen := binary.BigEndian.Uint32(lenBuf[:])
-	if bodyLen > 1<<24 {
-		return f, errors.New("tcpnet: body too large")
-	}
-	body := make([]byte, bodyLen)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return f, err
-	}
-	m, err := msg.Decode(body)
-	if err != nil {
-		return f, err
-	}
+	m, err := msg.Decode(c.b)
 	f.m = m
-	return f, nil
+	return err
 }

@@ -2,6 +2,11 @@ package tcpnet
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
+	"math"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -245,6 +250,16 @@ func TestManyRequestsManyHostsOverTCP(t *testing.T) {
 	})
 }
 
+// encodeFrame and readFrame run one frame through the codec; readFrame
+// reads as a Net of group members would.
+func encodeFrame(f frame) ([]byte, error) { return appendFrame(nil, f) }
+
+func readFrame(b []byte, group int) (frame, error) {
+	var f frame
+	err := newFrameReader(bytes.NewReader(b), group).read(&f)
+	return f, err
+}
+
 // TestFrameRoundTrip checks the wire codec on both stamped and
 // unstamped frames.
 func TestFrameRoundTrip(t *testing.T) {
@@ -269,7 +284,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("encode: %v", err)
 		}
-		got, err := readFrame(bytes.NewReader(b))
+		got, err := readFrame(b, len(stamp))
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -308,7 +323,7 @@ func TestFrameTruncation(t *testing.T) {
 		t.Fatalf("encode: %v", err)
 	}
 	for cut := 0; cut < len(b); cut++ {
-		if _, err := readFrame(bytes.NewReader(b[:cut])); err == nil {
+		if _, err := readFrame(b[:cut], len(f.stamp)); err == nil {
 			t.Fatalf("truncation at %d of %d decoded without error", cut, len(b))
 		}
 	}
@@ -336,6 +351,88 @@ func TestAddrAndClose(t *testing.T) {
 	// Sending after Close must be a quiet no-op (conn() errors out).
 	n.Send(ids.MSS(1).Node(), ids.Server(1).Node(),
 		msg.ServerRequest{Proxy: ids.ProxyID{Host: 1, Seq: 1}, Req: ids.RequestID{Origin: 1, Seq: 1}})
+}
+
+// TestCloseWaitsForLoops checks that Close returns only once every
+// accept and read loop has exited: peers still writing to accepted
+// connections see them closed, and no frame reaches the runtime after
+// Close returns.
+func TestCloseWaitsForLoops(t *testing.T) {
+	rt := livenet.New(1)
+	n := New(rt, []ids.NodeID{ids.MSS(1).Node(), ids.MSS(2).Node()})
+	if err := n.Start(); err != nil {
+		t.Fatalf("start: %v", err)
+	}
+	delivered := 0 // dispatcher-only
+	n.RegisterMSS(1, netsim.HandlerFunc(func(ids.NodeID, msg.Message) { delivered++ }))
+	rt.Start()
+	defer rt.Stop()
+
+	join, err := encodeFrame(frame{
+		layer: netsim.LayerWireless,
+		from:  ids.MH(1).Node(), to: ids.MSS(1).Node(),
+		m: msg.Join{MH: 1},
+	})
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	// Peers outside the Net keep writing uplink frames to station 1
+	// until their connections break.
+	const peers = 4
+	var writers sync.WaitGroup
+	for i := 0; i < peers; i++ {
+		c, err := net.Dial("tcp", n.Addr(ids.MSS(1).Node()))
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		defer c.Close()
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			for {
+				if _, err := c.Write(join); err != nil {
+					return
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}()
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		got := 0
+		rt.Do(func() { got = delivered })
+		if got >= 4*peers {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d frames delivered before Close", got)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	n.Close()
+	// Everything posted before Close returned runs before this Do.
+	final := 0
+	rt.Do(func() { final = delivered })
+	time.Sleep(50 * time.Millisecond)
+	rt.Do(func() {
+		if delivered != final {
+			t.Errorf("%d frames reached the runtime after Close returned", delivered-final)
+		}
+	})
+	stopped := make(chan struct{})
+	go func() {
+		writers.Wait()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close left accepted connections open")
+	}
+	if c, err := net.Dial("tcp", n.Addr(ids.MSS(1).Node())); err == nil {
+		c.Close()
+		t.Error("listener still accepting after Close")
+	}
 }
 
 // TestSendToNonMemberPanics verifies the programming-error guard.
@@ -382,43 +479,132 @@ func TestUplinkGateDropsAtSend(t *testing.T) {
 	})
 }
 
-// TestOversizeFrameRejected covers the length guards in readFrame.
-func TestOversizeFrameRejected(t *testing.T) {
-	base := frame{
-		layer: netsim.LayerWired,
-		from:  ids.MSS(1).Node(), to: ids.MSS(2).Node(),
-		m: msg.Greet{MH: 1},
+// rawFrame prefixes the concatenated parts with their length: frames
+// the encoder would never produce.
+func rawFrame(parts ...[]byte) []byte {
+	var body []byte
+	for _, p := range parts {
+		body = append(body, p...)
 	}
-	b, err := encodeFrame(base)
+	return append(binary.AppendUvarint(nil, uint64(len(body))), body...)
+}
+
+func uv(v uint64) []byte { return binary.AppendUvarint(nil, v) }
+
+// TestOversizeFrameRejected covers the size and range guards in the
+// frame reader: every length or index read off the wire is checked
+// before it drives an allocation or an index.
+func TestOversizeFrameRejected(t *testing.T) {
+	greet, err := msg.Encode(msg.Greet{MH: 1})
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	// Corrupt the stamp length (bytes 11..15) to exceed the 1 MiB cap.
-	huge := append([]byte(nil), b...)
-	huge[11], huge[12], huge[13], huge[14] = 0xFF, 0xFF, 0xFF, 0xFF
-	if _, err := readFrame(bytes.NewReader(huge)); err == nil {
-		t.Error("huge stamp length accepted")
+	head := []byte{byte(netsim.LayerWired), byte(ids.KindMSS), 1, byte(ids.KindMSS), 2}
+	stamped := func(n, from uint64, counters int) []byte {
+		return rawFrame(head, uv(n), uv(from), make([]byte, counters), greet)
 	}
-	// Corrupt the body length (the 4 bytes after the empty stamp).
-	huge = append([]byte(nil), b...)
-	huge[15], huge[16], huge[17], huge[18] = 0xFF, 0xFF, 0xFF, 0xFF
-	if _, err := readFrame(bytes.NewReader(huge)); err == nil {
-		t.Error("huge body length accepted")
+	if _, err := readFrame(stamped(2, 1, 4), 2); err != nil {
+		t.Fatalf("well-formed hand-built frame rejected: %v", err)
 	}
-	// A stamp length that disagrees with its own n field must error.
-	stamped := frame{
+	cases := []struct {
+		name string
+		b    []byte
+		want error
+	}{
+		{"length over cap", uv(maxFrameLen + 1), errFrameTooLarge},
+		{"length overflows 64 bits", bytes.Repeat([]byte{0xFF}, 11), nil},
+		{"empty frame", uv(0), errTruncated},
+		// The reader belongs to a two-member group.
+		{"stamp sized for another group", stamped(3, 1, 9), errStampSize},
+		{"stamp n past the frame", stamped(1<<20, 0, 4), errStampSize},
+		// n is the group's, but its n×n counters cannot fit in the
+		// bytes that remain.
+		{"stamp counters past the frame", rawFrame(head, uv(2), uv(1), make([]byte, 2)), errStampSize},
+		// n×n wraps to 0 and to 1 in uint64 arithmetic.
+		{"stamp n*n wraps to 0", stamped(1<<32, 0, 4), errStampSize},
+		{"stamp n*n wraps to 1", stamped(math.MaxUint64, 0, 4), errStampSize},
+		{"stamp sender = n", stamped(2, 2, 4), errStampFrom},
+		{"stamp sender past n", stamped(2, 1<<40, 4), errStampFrom},
+		{"from number above uint32", rawFrame([]byte{byte(netsim.LayerWired), byte(ids.KindMSS)}, uv(1<<32), []byte{byte(ids.KindMSS), 2, 0}, greet), errNodeRange},
+		{"to number above uint32", rawFrame([]byte{byte(netsim.LayerWired), byte(ids.KindMSS), 1, byte(ids.KindMSS)}, uv(math.MaxUint64), []byte{0}, greet), errNodeRange},
+		{"truncated length varint", []byte{0x80}, io.ErrUnexpectedEOF},
+		{"truncated varint inside the frame", rawFrame(head[:4], []byte{0x80}), errTruncated},
+		{"truncated stamp counter", rawFrame(head, uv(2), uv(0), make([]byte, 3), []byte{0xFF}), errTruncated},
+		{"frame short of its length", uv(40), io.ErrUnexpectedEOF},
+		{"large frame short of its length", append(uv(4096), head...), io.ErrUnexpectedEOF},
+	}
+	for _, c := range cases {
+		_, err := readFrame(c.b, 2)
+		if err == nil {
+			t.Errorf("%s: accepted", c.name)
+		} else if c.want != nil && !errors.Is(err, c.want) {
+			t.Errorf("%s: error %v, want %v", c.name, err, c.want)
+		}
+	}
+
+	// An over-cap length is refused before the body buffer exists, and a
+	// stamp sized for another group before its matrix does.
+	for _, c := range []struct {
+		name string
+		b    []byte
+		want error
+	}{
+		{"over-cap length", uv(maxFrameLen + 1), errFrameTooLarge},
+		{"stamp sized for another group", stamped(3, 1, 9), errStampSize},
+	} {
+		src := bytes.NewReader(nil)
+		fr := newFrameReader(src, 2)
+		allocs := testing.AllocsPerRun(50, func() {
+			src.Reset(c.b)
+			fr.r.Reset(src)
+			var f frame
+			if err := fr.read(&f); !errors.Is(err, c.want) {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("rejecting %s allocated %.0f times", c.name, allocs)
+		}
+	}
+}
+
+// TestMaxCountersRoundTrip checks that counters needing the full ten
+// varint bytes survive the codec, on the largest stamp the benchmarks
+// use (18 members).
+func TestMaxCountersRoundTrip(t *testing.T) {
+	const n = 18
+	stamp := causal.NewMatrix(n)
+	for i := range stamp {
+		for j := range stamp[i] {
+			stamp[i][j] = math.MaxUint64 - uint64(i*n+j)
+		}
+	}
+	f := frame{
 		layer: netsim.LayerWired,
-		from:  ids.MSS(1).Node(), to: ids.MSS(2).Node(),
+		from:  ids.MSS(math.MaxUint32).Node(), to: ids.Server(1).Node(),
 		m:        msg.Greet{MH: 1},
-		hasStamp: true, stampFrom: 0, stamp: causal.NewMatrix(2),
+		hasStamp: true, stampFrom: n - 1, stamp: stamp,
 	}
-	sb, err := encodeFrame(stamped)
+	b, err := encodeFrame(f)
 	if err != nil {
-		t.Fatalf("encode stamped: %v", err)
+		t.Fatalf("encode: %v", err)
 	}
-	sb[22]++ // bump n inside the stamp (header 11 + stampLen 4 + from 4 + 3) without resizing it
-	if _, err := readFrame(bytes.NewReader(sb)); err == nil {
-		t.Error("inconsistent stamp size accepted")
+	if min := n * n * binary.MaxVarintLen64; len(b) < min {
+		t.Errorf("frame is %d bytes, below the %d its counters need", len(b), min)
+	}
+	got, err := readFrame(b, n)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if got.from != f.from || got.stampFrom != f.stampFrom {
+		t.Errorf("header: got from %v/%d, want %v/%d", got.from, got.stampFrom, f.from, f.stampFrom)
+	}
+	for i := range stamp {
+		for j := range stamp[i] {
+			if got.stamp[i][j] != stamp[i][j] {
+				t.Fatalf("stamp[%d][%d] = %d, want %d", i, j, got.stamp[i][j], stamp[i][j])
+			}
+		}
 	}
 }
 
@@ -481,15 +667,54 @@ func TestWireStats(t *testing.T) {
 	if s.WiredFrames == 0 || s.WirelessFrames == 0 {
 		t.Fatalf("no traffic counted: %+v", s)
 	}
-	if s.WiredBytes <= s.WiredFrames*19 {
-		t.Errorf("wired bytes %d too small for %d frames (no stamp overhead?)",
-			s.WiredBytes, s.WiredFrames)
+	// Each wired frame of this four-member group carries at least the
+	// smallest header (layer, kinds, one-byte node numbers and stamp n),
+	// the stamp sender and one byte per counter, and a two-byte body.
+	const members = 4
+	if min := uint64(7 + 1 + members*members + 2); s.WiredBytes < s.WiredFrames*min {
+		t.Errorf("wired bytes %d too small for %d frames of at least %d bytes (no stamp overhead?)",
+			s.WiredBytes, s.WiredFrames, min)
 	}
 	// Wired frames average larger than wireless ones: same header, plus
 	// an n×n causal matrix per frame.
 	if s.WiredBytes/s.WiredFrames <= s.WirelessBytes/s.WirelessFrames {
 		t.Errorf("wired avg %d <= wireless avg %d; causal stamps missing",
 			s.WiredBytes/s.WiredFrames, s.WirelessBytes/s.WirelessFrames)
+	}
+
+	// One wired send on a fresh pair of endpoints costs exactly the
+	// stamped frame: header, the sender's 2×2 stamp, and the body.
+	rt2 := livenet.New(1)
+	pair := New(rt2, []ids.NodeID{ids.MSS(1).Node(), ids.MSS(2).Node()})
+	if err := pair.Start(); err != nil {
+		t.Fatalf("start: %v", err)
+	}
+	got := make(chan struct{}, 1)
+	pair.Register(ids.MSS(2).Node(), netsim.HandlerFunc(func(ids.NodeID, msg.Message) { got <- struct{}{} }))
+	rt2.Start()
+	t.Cleanup(func() {
+		rt2.Stop()
+		pair.Close()
+	})
+	greet := msg.Greet{MH: 1}
+	rt2.Do(func() { pair.Send(ids.MSS(1).Node(), ids.MSS(2).Node(), greet) })
+	select {
+	case <-got:
+	case <-time.After(10 * time.Second):
+		t.Fatal("wired greet never delivered")
+	}
+	want, err := appendFrame(nil, frame{
+		layer: netsim.LayerWired,
+		from:  ids.MSS(1).Node(), to: ids.MSS(2).Node(),
+		m:        greet,
+		hasStamp: true, stampFrom: 0, stamp: causal.NewMatrix(2),
+	})
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	if ps := pair.Stats(); ps.WiredFrames != 1 || ps.WiredBytes != uint64(len(want)) {
+		t.Errorf("one wired send: %d frames, %d bytes; want 1 frame of %d bytes",
+			ps.WiredFrames, ps.WiredBytes, len(want))
 	}
 }
 
