@@ -66,7 +66,7 @@ func TestLooseThresholdOverride(t *testing.T) {
 // TestOnlyFilterIgnoresOtherBaseEntries compares a single-experiment
 // snapshot against a multi-entry baseline: without -only the other
 // baseline entries count as missing and fail; with -only the gate
-// narrows to the named experiment (the e17-smoke CI shape).
+// narrows to the named experiment (the guard-smoke CI shape).
 func TestOnlyFilterIgnoresOtherBaseEntries(t *testing.T) {
 	dir := t.TempDir()
 	base := filepath.Join(dir, "base.json")

@@ -166,10 +166,49 @@ func TestBadE14Flags(t *testing.T) {
 	}
 }
 
-// TestNoMatch rejects experiment names that match nothing.
+// TestNoMatch rejects any -exp list naming an experiment outside the
+// registry, even alongside a valid one, and lists the valid names. e15lat
+// is a headline of the e15 entry, not an experiment of its own.
 func TestNoMatch(t *testing.T) {
-	if _, err := runBuf(t, "-exp", "e42"); err == nil {
-		t.Fatal("unknown experiment accepted")
+	for _, list := range []string{"e42", "e1,e42", "e15lat"} {
+		_, err := runBuf(t, "-quick", "-exp", list)
+		if err == nil {
+			t.Errorf("-exp %s accepted", list)
+			continue
+		}
+		if !strings.Contains(err.Error(), "e1, e2,") || !strings.Contains(err.Error(), "e18, all") {
+			t.Errorf("-exp %s: error does not list the valid names: %v", list, err)
+		}
+	}
+}
+
+// TestE15JSONHeadlines checks that one e15 run yields both of its
+// snapshot headlines: e15 with its link-profile Aux and the timing, then
+// e15lat carrying only its metric (the sweep is timed once, under e15).
+func TestE15JSONHeadlines(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "e15.json")
+	if _, err := runBuf(t, "-quick", "-exp", "e15", "-json", "-out", out); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	snap, err := benchcmp.Load(out)
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	if len(snap.Entries) != 2 || snap.Entries[0].Name != "e15" || snap.Entries[1].Name != "e15lat" {
+		t.Fatalf("entries = %+v, want exactly e15 then e15lat", snap.Entries)
+	}
+	e15, lat := snap.Entries[0], snap.Entries[1]
+	if len(e15.Aux) == 0 {
+		t.Error("e15 has no aux")
+	}
+	if e15.NsOp <= 0 || e15.AllocsOp <= 0 {
+		t.Errorf("e15 not timed: %+v", e15)
+	}
+	if lat.MetricName != "p99_latency_ms" {
+		t.Errorf("e15lat metric_name = %q, want p99_latency_ms", lat.MetricName)
+	}
+	if lat.NsOp != 0 || lat.AllocsOp != 0 {
+		t.Errorf("e15lat timed separately: ns_op=%g allocs_op=%g, want 0 and 0", lat.NsOp, lat.AllocsOp)
 	}
 }
 

@@ -158,7 +158,7 @@ func NewWorld(cfg Config) *World {
 	}
 	for i := 1; i <= cfg.NumServers; i++ {
 		id := ids.Server(i)
-		s := server.New(id, w.Kernel, w.Wired, cfg.ServerProc, nil)
+		s := server.New(id, w.Kernel, w.Wired, cfg.ServerProc)
 		w.servers[id] = s
 		w.Wired.Register(id.Node(), s)
 	}

@@ -54,14 +54,11 @@ type AppServer struct {
 	Acked  metrics.Counter
 }
 
-// New constructs a server. proc models per-request processing time; a
-// nil handler defaults to Echo.
-func New(id ids.Server, kernel sim.Scheduler, wired netsim.WiredTransport, proc netsim.LatencyModel, handler Handler) *AppServer {
+// New constructs a server that answers with Echo until SetHandler
+// replaces it. proc models per-request processing time.
+func New(id ids.Server, kernel sim.Scheduler, wired netsim.WiredTransport, proc netsim.LatencyModel) *AppServer {
 	if proc == nil {
 		proc = netsim.Constant(0)
-	}
-	if handler == nil {
-		handler = Echo
 	}
 	return &AppServer{
 		id:      id,
@@ -69,7 +66,7 @@ func New(id ids.Server, kernel sim.Scheduler, wired netsim.WiredTransport, proc 
 		wired:   wired,
 		proc:    proc,
 		rng:     kernel.RNG().Fork(),
-		handler: handler,
+		handler: Echo,
 		pending: make(map[ids.RequestID]ids.ProxyID),
 	}
 }

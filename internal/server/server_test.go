@@ -20,7 +20,7 @@ func testNet(t *testing.T) (*sim.Kernel, *netsim.Wired) {
 
 func TestServerRepliesToProxyHost(t *testing.T) {
 	k, w := testNet(t)
-	srv := New(1, k, w, netsim.Constant(10*time.Millisecond), nil)
+	srv := New(1, k, w, netsim.Constant(10*time.Millisecond))
 	w.Register(ids.Server(1).Node(), srv)
 	var got []msg.Message
 	w.Register(ids.MSS(1).Node(), netsim.HandlerFunc(func(from ids.NodeID, m msg.Message) {
@@ -56,7 +56,8 @@ func TestServerRepliesToProxyHost(t *testing.T) {
 
 func TestServerCustomHandler(t *testing.T) {
 	k, w := testNet(t)
-	srv := New(1, k, w, nil, func(req []byte) []byte { return []byte("fixed") })
+	srv := New(1, k, w, nil)
+	srv.SetHandler(func(req []byte) []byte { return []byte("fixed") })
 	w.Register(ids.Server(1).Node(), srv)
 	var payload []byte
 	w.Register(ids.MSS(1).Node(), netsim.HandlerFunc(func(_ ids.NodeID, m msg.Message) {
@@ -73,7 +74,7 @@ func TestServerCustomHandler(t *testing.T) {
 
 func TestServerSetHandler(t *testing.T) {
 	k, w := testNet(t)
-	srv := New(1, k, w, nil, nil)
+	srv := New(1, k, w, nil)
 	w.Register(ids.Server(1).Node(), srv)
 	srv.SetHandler(func([]byte) []byte { return []byte("swapped") })
 	var payload []byte
@@ -91,7 +92,7 @@ func TestServerSetHandler(t *testing.T) {
 
 func TestServerCountsAcks(t *testing.T) {
 	k, w := testNet(t)
-	srv := New(1, k, w, nil, nil)
+	srv := New(1, k, w, nil)
 	w.Register(ids.Server(1).Node(), srv)
 	w.Register(ids.MSS(1).Node(), netsim.HandlerFunc(func(ids.NodeID, msg.Message) {}))
 	w.Send(ids.MSS(1).Node(), ids.Server(1).Node(), msg.ServerAck{Req: ids.RequestID{Origin: 1, Seq: 1}})
