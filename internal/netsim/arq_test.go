@@ -161,6 +161,43 @@ func TestWiredDownGateHoldsFramesUntilRestart(t *testing.T) {
 	}
 }
 
+// TestWiredDownGateWithoutARQDropsAtArrival checks the non-ARQ path:
+// a frame is checked against Down when it arrives, not when it is sent,
+// and a frame that finds its destination down is lost (observed as
+// unreachable) while later frames arrive intact. Causal order is off:
+// a lost frame would wedge every causally later one.
+func TestWiredDownGateWithoutARQDropsAtArrival(t *testing.T) {
+	k := sim.NewKernel(1)
+	down := false
+	a, b := ids.MSS(1).Node(), ids.MSS(2).Node()
+	var unreachable []msg.Message
+	w := NewWired(k, []ids.NodeID{a, b}, WiredConfig{
+		Latency: Constant(2 * time.Millisecond),
+		Down:    func(n ids.NodeID) bool { return n == b && down },
+	}, func(_ sim.Time, _ Layer, kind EventKind, _, _ ids.NodeID, m msg.Message) {
+		if kind == EventDroppedUnreachable {
+			unreachable = append(unreachable, m)
+		}
+	})
+	var got []msg.Message
+	w.Register(a, HandlerFunc(func(ids.NodeID, msg.Message) {}))
+	w.Register(b, HandlerFunc(func(_ ids.NodeID, m msg.Message) { got = append(got, m) }))
+	lost, kept := msg.Dereg{MH: 7, NewMSS: 2}, msg.Dereg{MH: 8, NewMSS: 2}
+	w.Send(a, b, lost) // sent while b is up, arrives while it is down
+	k.Defer(time.Millisecond, func() { down = true })
+	k.Defer(3*time.Millisecond, func() {
+		down = false
+		w.Send(a, b, kept)
+	})
+	k.Run()
+	if len(unreachable) != 1 || unreachable[0] != lost {
+		t.Errorf("dropped as unreachable: %v, want [%v]", unreachable, lost)
+	}
+	if len(got) != 1 || got[0] != kept {
+		t.Errorf("delivered %v, want [%v]", got, kept)
+	}
+}
+
 func TestNonARQFaultDropIsPermanent(t *testing.T) {
 	k := sim.NewKernel(1)
 	hook := &dropNth{from: 1, count: 1}
@@ -209,5 +246,45 @@ func TestARQReceiverCompactsSeenSet(t *testing.T) {
 	}
 	if !r.Accept(5) || len(r.ahead) != 1 {
 		t.Error("out-of-order accept should park in ahead set")
+	}
+}
+
+// TestDuplicatedFrameWithoutARQKeepsItsRecord pins the path on which
+// delivery records are never recycled: a causal link with faults but no
+// ARQ can fire one record twice. The first message is duplicated, its
+// second copy lags, and the sender reuses the link while that copy is
+// still in flight. Both copies must carry the original message, and the
+// later messages must arrive intact rather than through a reused
+// record.
+func TestDuplicatedFrameWithoutARQKeepsItsRecord(t *testing.T) {
+	k := sim.NewKernel(1)
+	// Copy 1 of the first message takes 1ms, copy 2 takes 10ms, the
+	// later frames 1ms each.
+	lat := &scriptedLatency{delays: []time.Duration{
+		time.Millisecond, 10 * time.Millisecond, time.Millisecond, time.Millisecond,
+	}}
+	w, got := wiredPair(t, k, WiredConfig{
+		Latency: lat,
+		Causal:  true,
+		Faults:  &dropNth{dupNth: 1},
+	})
+	a, b := ids.MSS(1).Node(), ids.MSS(2).Node()
+	first := msg.Dereg{MH: 7, NewMSS: 2}
+	w.Send(a, b, first)
+	later := []msg.Message{msg.Dereg{MH: 8, NewMSS: 2}, msg.Dereg{MH: 9, NewMSS: 2}}
+	k.Defer(2*time.Millisecond, func() {
+		for _, m := range later {
+			w.Send(a, b, m)
+		}
+	})
+	k.Run()
+	want := []msg.Message{first, later[0], later[1], first}
+	if len(*got) != len(want) {
+		t.Fatalf("delivered %v, want %v", *got, want)
+	}
+	for i := range want {
+		if (*got)[i] != want[i] {
+			t.Errorf("delivery %d = %v, want %v", i, (*got)[i], want[i])
+		}
 	}
 }

@@ -208,6 +208,15 @@ type Wired struct {
 	links    map[linkKey]*wiredLink
 	queued   map[linkKey]int // frames in flight per directed link
 	shed     int64           // frames shed by full link queues
+	// pooled reports that every delivery fires at most once, so stamps
+	// and delivery records may be recycled (see NewWired).
+	pooled bool
+	// rawDown reports that deliveries take the non-ARQ physical path
+	// under a Down hook, so fire checks the destination at arrival. ARQ
+	// frames are checked in receiveFrame, and the sequencer path
+	// bypasses Down.
+	rawDown bool
+	free    []*delivery // recycled delivery records
 }
 
 // wiredLink is the ARQ state of one directed wired link.
@@ -220,17 +229,69 @@ type wiredLink struct {
 // wiredFrame is one protocol message in flight on an ARQ link. fire
 // performs the delivery (through the causal endpoint when configured);
 // it is reused verbatim on retransmission so the causal stamp is
-// assigned exactly once per message.
+// assigned exactly once per message. m is kept beside it because the
+// delivery record behind fire is recycled once it has fired, while
+// retransmitted copies of the frame may still be on the wire.
 type wiredFrame struct {
 	fire func()
-	p    wiredPayload
+	m    msg.Message
 }
 
-// wiredPayload is what travels through the causal layer.
-type wiredPayload struct {
-	from ids.NodeID
-	to   ids.NodeID
-	m    msg.Message
+// delivery is the record of one wired message from Send to its
+// handler: the addressing, the message, and the causal stamp. It is
+// also what travels through the causal layer (a pointer boxes into the
+// payload interface without allocating). fn is the record's fire
+// method, bound once when the record is created and reused by every
+// message the record carries, so a send allocates no closure.
+type delivery struct {
+	w        *Wired
+	from, to ids.NodeID
+	ti       int // destination member index
+	m        msg.Message
+	st       causal.Stamp
+	fn       func()
+}
+
+// newDelivery takes a record from the free list, or makes one.
+func (w *Wired) newDelivery(from, to ids.NodeID, ti int, m msg.Message) *delivery {
+	var d *delivery
+	if k := len(w.free); k > 0 {
+		d = w.free[k-1]
+		w.free[k-1] = nil
+		w.free = w.free[:k-1]
+	} else {
+		d = &delivery{w: w}
+		d.fn = d.fire
+	}
+	d.from, d.to, d.ti, d.m = from, to, ti, m
+	return d
+}
+
+// release returns a fired record to the free list. Only sound when
+// nothing can fire the record again (w.pooled); otherwise the record
+// is left to the garbage collector.
+func (w *Wired) release(d *delivery) {
+	if !w.pooled {
+		return
+	}
+	d.m, d.st = nil, causal.Stamp{}
+	w.free = append(w.free, d)
+}
+
+// fire performs the delivery: through the causal endpoint when
+// configured, straight to the handler otherwise.
+func (d *delivery) fire() {
+	w := d.w
+	if w.rawDown && w.cfg.Down(d.to) {
+		w.observe(EventDroppedUnreachable, d.from, d.to, d.m)
+		w.release(d)
+		return
+	}
+	if w.cfg.Causal {
+		w.eps[d.ti].Receive(d.st, d)
+		return
+	}
+	w.deliver(d)
 }
 
 // NewWired builds the wired network for a fixed membership of static
@@ -264,12 +325,13 @@ func NewWired(k sim.Scheduler, members []ids.NodeID, cfg WiredConfig, obs Observ
 	// receiver dedups frames, and without faults nothing duplicates. A
 	// faulty link without ARQ can fire the same stamp twice (duplication
 	// fault), and the sequencer hook replays fires adversarially — both
-	// must keep the allocating path.
-	pooled := cfg.Seq == nil && (cfg.Faults == nil || cfg.ARQ.Enabled)
+	// must keep the allocating path. The same rule governs recycling of
+	// delivery records.
+	w.pooled = cfg.Seq == nil && (cfg.Faults == nil || cfg.ARQ.Enabled)
+	w.rawDown = cfg.Down != nil && cfg.Seq == nil && !cfg.ARQ.Enabled
 	w.eps = causal.Group(len(members), func(dst int, payload any) {
-		p := payload.(wiredPayload)
-		w.deliver(p)
-	}, causal.Pooled(pooled))
+		w.deliver(payload.(*delivery))
+	}, causal.Pooled(w.pooled))
 	return w
 }
 
@@ -296,47 +358,34 @@ func (w *Wired) Send(from, to ids.NodeID, m msg.Message) {
 		panic(fmt.Sprintf("netsim: wired send to non-member %v", to))
 	}
 	w.observe(EventSent, from, to, m)
-	p := wiredPayload{from: from, to: to, m: m}
-	var fire func()
+	d := w.newDelivery(from, to, ti, m)
 	if w.cfg.Causal {
-		st := w.eps[fi].Send(ti)
-		fire = func() { w.eps[ti].Receive(st, p) }
-	} else {
-		fire = func() { w.deliver(p) }
+		d.st = w.eps[fi].Send(ti)
 	}
 	if w.cfg.Seq != nil {
-		w.cfg.Seq.Offer(LayerWired, from, to, fire)
+		w.cfg.Seq.Offer(LayerWired, from, to, d.fn)
 		return
 	}
 	if w.cfg.ARQ.Enabled {
 		l := w.link(from, to)
 		l.sender.Send(func(seq uint64) {
-			l.inflight[seq] = wiredFrame{fire: fire, p: p}
+			l.inflight[seq] = wiredFrame{fire: d.fn, m: m}
 		})
 		return
 	}
-	w.transmitRaw(from, to, p.m, fire)
+	w.transmitRaw(from, to, m, d.fn)
 }
 
 // transmitRaw is the non-ARQ physical path: one attempt, subject to
-// faults and the Down gate. Without ARQ a lost frame stays lost.
+// faults and the Down gate (checked by fire at arrival). Without ARQ a
+// lost frame stays lost.
 func (w *Wired) transmitRaw(from, to ids.NodeID, m msg.Message, fire func()) {
 	f := w.fault(from, to, m)
 	if f.Drop {
 		w.observe(EventDroppedLoss, from, to, m)
 		return
 	}
-	deliver := fire
-	if w.cfg.Down != nil {
-		deliver = func() {
-			if w.cfg.Down(to) {
-				w.observe(EventDroppedUnreachable, from, to, m)
-				return
-			}
-			fire()
-		}
-	}
-	w.enqueue(from, to, m, f, deliver)
+	w.enqueue(from, to, m, f, fire)
 }
 
 // enqueue schedules the physical delivery attempts of one frame (one
@@ -345,8 +394,8 @@ func (w *Wired) transmitRaw(from, to ids.NodeID, m msg.Message, fire func()) {
 // observed as EventShed and never scheduled.
 func (w *Wired) enqueue(from, to ids.NodeID, m msg.Message, f LinkFault, deliver func()) {
 	if w.cfg.QueueLimit <= 0 {
-		// Unbounded link: no occupancy to track, so the delivery closure
-		// schedules directly (the common configuration's zero-extra-alloc
+		// Unbounded link: no occupancy to track, so the delivery func
+		// schedules directly (the common configuration's allocation-free
 		// path).
 		w.k.Defer(w.sampleLatency(from, to)+f.Delay, deliver)
 		if f.Duplicate {
@@ -398,7 +447,7 @@ func (w *Wired) link(from, to ids.NodeID) *wiredLink {
 // shed attempt (full link queue) leaves the frame un-acked; the ARQ
 // timeout re-offers it after the queue has had time to drain.
 func (w *Wired) transmitFrame(from, to ids.NodeID, seq uint64, fr wiredFrame) {
-	frame := msg.LinkFrame{Seq: seq, Inner: fr.p.m}
+	frame := msg.LinkFrame{Seq: seq, Inner: fr.m}
 	f := w.fault(from, to, frame)
 	if f.Drop {
 		w.observe(EventDroppedLoss, from, to, frame)
@@ -413,7 +462,7 @@ func (w *Wired) transmitFrame(from, to ids.NodeID, seq uint64, fr wiredFrame) {
 // duplicates, whose first ack may have been lost.
 func (w *Wired) receiveFrame(from, to ids.NodeID, seq uint64, fr wiredFrame) {
 	if w.cfg.Down != nil && w.cfg.Down(to) {
-		w.observe(EventDroppedUnreachable, from, to, msg.LinkFrame{Seq: seq, Inner: fr.p.m})
+		w.observe(EventDroppedUnreachable, from, to, msg.LinkFrame{Seq: seq, Inner: fr.m})
 		return
 	}
 	w.sendAck(from, to, seq)
@@ -471,14 +520,18 @@ func (w *Wired) ARQStats() (retransmits int64, outstanding int) {
 	return retransmits, outstanding
 }
 
-// deliver hands a message to its destination handler.
-func (w *Wired) deliver(p wiredPayload) {
-	h := w.handlers[w.index[p.to]]
+// deliver hands a message to its destination handler. The record is
+// recycled before the handler runs, so the sends the handler makes can
+// reuse it.
+func (w *Wired) deliver(d *delivery) {
+	from, to, m := d.from, d.to, d.m
+	h := w.handlers[d.ti]
 	if h == nil {
-		panic(fmt.Sprintf("netsim: wired member %v has no handler", p.to))
+		panic(fmt.Sprintf("netsim: wired member %v has no handler", to))
 	}
-	w.observe(EventDelivered, p.from, p.to, p.m)
-	h.HandleMessage(p.from, p.m)
+	w.release(d)
+	w.observe(EventDelivered, from, to, m)
+	h.HandleMessage(from, m)
 }
 
 func (w *Wired) observe(kind EventKind, from, to ids.NodeID, m msg.Message) {

@@ -16,9 +16,12 @@ import (
 // their protocol state — responsibility, prefs with life-cycle flags,
 // forwarding pointers, outstanding-request routing knowledge, and the
 // full requestList of every hosted proxy — to an in-sim stable store on
-// every mutation (write-through snapshots per entity). A crash wipes
-// the station's memory; a restart replays the journal and, after a
-// grace period, re-issues whatever the journal shows incomplete.
+// every mutation. Each entity has one write-through snapshot record,
+// rewritten in place on every mutation, so a journal write allocates
+// only when it creates a record. A crash wipes the station's memory; a
+// restart replays the journal, copying everything out of the records,
+// and, after a grace period, re-issues whatever the journal shows
+// incomplete.
 
 // mhRecord is the journaled per-MH state of one station.
 type mhRecord struct {
@@ -176,45 +179,73 @@ func (s *stableStore) station(id ids.MSS) *stationRecord {
 // persistMH journals this station's complete per-MH state for mh. Call
 // it after any mutation of localMhs/prefs/ignoreAcks/forwardTo/
 // outstanding for that MH; a snapshot with nothing left to remember
-// erases the record.
+// erases the record. An existing record is rewritten in place.
 func (n *MSSNode) persistMH(mh ids.MH) {
 	if !n.w.cfg.Checkpoint {
 		return
 	}
+	n.w.store.writes++
 	rec := n.w.store.station(n.id)
-	r := &mhRecord{
-		responsible: n.localMhs.contains(mh),
-		ignoreAcks:  n.ignoreAcks[mh],
+	responsible := n.localMhs.contains(mh)
+	ignoreAcks := n.ignoreAcks[mh]
+	pref, hasPref := n.prefs.get(mh)
+	forwardTo, hasForward := n.forwardTo[mh]
+	if !responsible && !hasPref && !ignoreAcks && !hasForward {
+		delete(rec.mhs, mh)
+		return
 	}
-	if p, ok := n.prefs.get(mh); ok {
-		r.pref, r.hasPref = p, true
+	r := rec.mhs[mh]
+	if r == nil {
+		r = &mhRecord{}
+		rec.mhs[mh] = r
 	}
-	if f, ok := n.forwardTo[mh]; ok {
-		r.forwardTo, r.hasForward = f, true
-	}
+	r.responsible, r.ignoreAcks = responsible, ignoreAcks
+	r.pref, r.hasPref = pref, hasPref
+	r.forwardTo, r.hasForward = forwardTo, hasForward
 	r.inc = n.incs[mh]
+	clear(r.outstanding)
 	if set := n.outstanding[mh]; len(set) > 0 {
-		r.outstanding = make(map[ids.RequestID]ids.Incarnation, len(set))
+		if r.outstanding == nil {
+			r.outstanding = make(map[ids.RequestID]ids.Incarnation, len(set))
+		}
 		for req, inc := range set {
 			r.outstanding[req] = inc
 		}
 	}
-	if !r.responsible && !r.hasPref && !r.ignoreAcks && !r.hasForward {
-		delete(rec.mhs, mh)
+}
+
+// nextSlot extends s by one element and returns a pointer to it. The
+// slot keeps whatever the backing array held there, so a snapshot
+// rewritten in place can reuse the slot's own slices.
+func nextSlot[T any](s []T) ([]T, *T) {
+	if len(s) < cap(s) {
+		s = s[:len(s)+1]
 	} else {
-		rec.mhs[mh] = r
+		var zero T
+		s = append(s, zero)
 	}
-	n.w.store.writes++
+	return s, &s[len(s)-1]
 }
 
 // persistProxy journals the full image of a hosted proxy. Call it after
-// any requestList or currentLoc mutation.
+// any requestList or currentLoc mutation. An existing record is
+// rewritten in place.
 func (n *MSSNode) persistProxy(p *Proxy) {
 	if !n.w.cfg.Checkpoint {
 		return
 	}
+	n.w.store.writes++
 	rec := n.w.store.station(n.id)
-	pr := &proxyRecord{id: p.id, mh: p.mh, currentLoc: p.currentLoc, leaseInc: p.leaseInc}
+	pr := rec.proxies[p.id.Seq]
+	if pr == nil {
+		pr = &proxyRecord{}
+		rec.proxies[p.id.Seq] = pr
+	}
+	pr.id, pr.mh, pr.currentLoc, pr.leaseInc = p.id, p.mh, p.currentLoc, p.leaseInc
+	// Cleared, not just truncated: the old entries' payloads and results
+	// must not outlive the requests they belonged to.
+	clear(pr.reqs)
+	pr.reqs = pr.reqs[:0]
 	for _, req := range p.order {
 		r := p.reqs[req]
 		pr.reqs = append(pr.reqs, proxyReqRecord{
@@ -223,58 +254,73 @@ func (n *MSSNode) persistProxy(p *Proxy) {
 			batch: r.batch, inc: r.inc,
 		})
 	}
+	pr.batches = pr.batches[:0]
 	for _, id := range p.batchOrder {
 		b := p.batches[id]
-		pr.batches = append(pr.batches, proxyBatchRecord{
-			id: b.id, members: append([]ids.RequestID(nil), b.members...),
+		var br *proxyBatchRecord
+		pr.batches, br = nextSlot(pr.batches)
+		*br = proxyBatchRecord{
+			id: b.id, members: append(br.members[:0], b.members...),
 			expected: b.expected, committed: b.committed, released: b.released,
 			inc: b.inc,
-		})
+		}
 	}
+	pr.aborted = pr.aborted[:0]
 	for _, id := range p.abortOrder {
-		pr.aborted = append(pr.aborted, proxyAbortRecord{
-			id: id, reqs: append([]ids.RequestID(nil), p.abortedBatches[id]...),
-		})
+		var ar *proxyAbortRecord
+		pr.aborted, ar = nextSlot(pr.aborted)
+		*ar = proxyAbortRecord{id: id, reqs: append(ar.reqs[:0], p.abortedBatches[id]...)}
 	}
-	rec.proxies[p.id.Seq] = pr
-	n.w.store.writes++
 }
 
 // persistGroup journals the full image of a hosted group proxy (E16).
 // Call it after any membership, location or entry mutation. Groups are
-// never deleted, so there is no unpersist counterpart.
+// never deleted, so there is no unpersist counterpart. An existing
+// record is rewritten in place.
 func (n *MSSNode) persistGroup(g *GroupProxy) {
 	if !n.w.cfg.Checkpoint {
 		return
 	}
+	n.w.store.writes++
 	rec := n.w.store.station(n.id)
-	gr := &groupRecord{
-		id:      g.id,
-		server:  g.server,
-		topic:   g.topic,
-		members: g.members.AppendDelta(nil),
+	gr := rec.groups[g.id.Seq]
+	if gr == nil {
+		gr = &groupRecord{}
+		rec.groups[g.id.Seq] = gr
 	}
+	gr.id, gr.server, gr.topic = g.id, g.server, g.topic
+	gr.members = g.members.AppendDelta(gr.members[:0])
+	clear(gr.memberLoc)
 	if len(g.memberLoc) > 0 {
-		gr.memberLoc = make(map[ids.MH]ids.MSS, len(g.memberLoc))
+		if gr.memberLoc == nil {
+			gr.memberLoc = make(map[ids.MH]ids.MSS, len(g.memberLoc))
+		}
 		for mh, loc := range g.memberLoc {
 			gr.memberLoc[mh] = loc
 		}
 	}
+	prev := gr.entries
+	gr.entries = gr.entries[:0]
 	for _, key := range g.entryOrder {
 		e := g.entries[key]
-		er := groupEntryRecord{
-			server: e.server, payload: e.payload, leaderReq: e.leaderReq,
-			result: e.result, hasResult: e.hasResult,
-		}
+		var er *groupEntryRecord
+		gr.entries, er = nextSlot(gr.entries)
+		waiters := er.waiters[:0]
 		for _, w := range e.waiters {
-			er.waiters = append(er.waiters, groupWaiterRecord{
+			waiters = append(waiters, groupWaiterRecord{
 				mh: w.mh, seq: w.seq, inc: w.inc, acked: w.acked, forwarded: w.forwarded,
 			})
 		}
-		gr.entries = append(gr.entries, er)
+		*er = groupEntryRecord{
+			server: e.server, payload: e.payload, leaderReq: e.leaderReq,
+			result: e.result, hasResult: e.hasResult, waiters: waiters,
+		}
 	}
-	rec.groups[g.id.Seq] = gr
-	n.w.store.writes++
+	// Entries past the new end drop their payloads and results but keep
+	// their waiter arrays for reuse.
+	for i := len(gr.entries); i < len(prev); i++ {
+		prev[i] = groupEntryRecord{waiters: prev[i].waiters[:0]}
+	}
 }
 
 // unpersistProxy erases a deleted proxy's journal entry.
@@ -288,22 +334,23 @@ func (n *MSSNode) unpersistProxy(seq uint32) {
 
 // persistTombstone journals a migration tombstone's current state. Call
 // it when the tombstone is created and whenever its confirmation set
-// shrinks.
+// shrinks. An existing record is rewritten in place.
 func (n *MSSNode) persistTombstone(t *tombstone) {
 	if !n.w.cfg.Checkpoint {
 		return
 	}
-	tr := &tombstoneRecord{
-		oldProxy:       t.oldProxy,
-		newProxy:       t.newProxy,
-		mh:             t.mh,
-		pendingServers: make(map[ids.Server]bool, len(t.pendingServers)),
+	n.w.store.writes++
+	rec := n.w.store.station(n.id)
+	tr := rec.tombstones[t.oldProxy.Seq]
+	if tr == nil {
+		tr = &tombstoneRecord{pendingServers: make(map[ids.Server]bool, len(t.pendingServers))}
+		rec.tombstones[t.oldProxy.Seq] = tr
 	}
+	tr.oldProxy, tr.newProxy, tr.mh = t.oldProxy, t.newProxy, t.mh
+	clear(tr.pendingServers)
 	for s := range t.pendingServers {
 		tr.pendingServers[s] = true
 	}
-	n.w.store.station(n.id).tombstones[t.oldProxy.Seq] = tr
-	n.w.store.writes++
 }
 
 // unpersistTombstone erases a garbage-collected tombstone's journal
